@@ -4,10 +4,17 @@ The SGB operators historically processed one ``Tuple[float, ...]`` at a time.
 A :class:`PointSet` holds a whole batch of d-dimensional points in columnar
 form and exposes batched primitives:
 
+* :meth:`PointSet.components_within` — the connected components of the
+  epsilon-neighbourhood graph, one label per point, by grid connectivity on
+  the NumPy backend: clique cells take no pair checks, and neighbouring
+  cells stop at the first witness pair.  This is the kernel behind the
+  SGB-Any batch path, which therefore applies at most n - 1 unions per
+  batch.
 * :meth:`PointSet.pairwise_within` — every index pair within ``eps`` under a
   metric (the epsilon-neighbourhood edges), found with a uniform eps-grid so
-  neither backend ever materialises the full O(n^2) distance matrix.  This
-  is the kernel behind the SGB-Any batch path.
+  neither backend ever materialises the full O(n^2) distance matrix.  The
+  consumers that need real pairs use it: SGB-All, the explicit-index
+  ablation, and ``components_within`` past three dimensions.
 * :meth:`PointSet.window_mask` — boolean membership mask for a window query.
 * :meth:`PointSet.verify_within` — bulk exact-distance verification of index
   window hits against a probe point (the ``VerifyPoints`` step of Procedure
@@ -29,6 +36,8 @@ same order as the scalar loops in :mod:`repro.core.distance`.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -88,24 +97,71 @@ _BLOCK = 512
 #: anything (curse of dimensionality).
 _PAIRWISE_GRID_MAX_DIMS = 6
 
+#: Largest number of point pairs one vectorised witness test of
+#: ``components_within`` evaluates at a time; the test stops at the first
+#: chunk holding a pair within eps.
+_WITNESS_PAIRS = 4096
+
+#: ``components_within`` runs its connectivity grid up to this
+#: dimensionality; beyond it the reach neighbourhood (5^d cells and more)
+#: costs more than the eps-grid pair sweep it replaces.
+_COMPONENTS_GRID_MAX_DIMS = 3
+
+#: ``components_within`` falls back to the pair sweep once a coordinate
+#: reaches this many cell sides from the origin: ``floor(x / side)`` must stay
+#: within a tiny fraction of a cell of the true quotient for the reach
+#: neighbourhood to be complete.
+_GRID_MAX_CELLS = float(2**40)
+
 
 def _validate_tuples(points: Iterable[Sequence[float]]) -> List[Point]:
     """Normalise to a list of float tuples, checking dims and finiteness."""
     out: List[Point] = []
     dims: Optional[int] = None
+    isfinite = math.isfinite
     for p in points:
-        pt = tuple(float(c) for c in p)
-        if dims is None:
+        pt = tuple(map(float, p))
+        if len(pt) != dims:
+            if dims is not None:
+                raise DimensionalityError(
+                    f"inconsistent point dimensionality: expected {dims}, got {len(pt)}"
+                )
             dims = len(pt)
             if dims == 0:
                 raise InvalidParameterError("points must have at least one dimension")
-        elif len(pt) != dims:
-            raise DimensionalityError(
-                f"inconsistent point dimensionality: expected {dims}, got {len(pt)}"
-            )
-        ensure_finite(pt)
+        if not all(map(isfinite, pt)):
+            ensure_finite(pt)
         out.append(pt)
     return out
+
+
+def _clean_float_array(points: Sequence[Sequence[float]]) -> "Any":
+    """``points`` as an ``(n, d)`` float64 array, or ``None`` if not clean.
+
+    One C-level conversion of the flattened coordinates instead of a
+    per-coordinate ``float()`` loop.  Ragged or zero-width points, anything
+    the conversion rejects, and non-finite values return ``None`` so
+    :func:`_validate_tuples` raises its usual error.  NumPy converts every
+    value it accepts exactly as ``float()`` does.
+    """
+    try:
+        widths = set(map(len, points))
+    except TypeError:
+        return None
+    if len(widths) != 1:
+        return None
+    (dims,) = widths
+    if dims == 0:
+        return None
+    try:
+        flat = _np.fromiter(
+            itertools.chain.from_iterable(points), _np.float64, count=len(points) * dims
+        )
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if not bool(_np.isfinite(flat).all()):
+        return None
+    return flat.reshape(len(points), dims)
 
 
 class PointSet:
@@ -157,6 +213,10 @@ class PointSet:
             if use_numpy:
                 return NumpyPointSet(arr)
             return PythonPointSet([tuple(row) for row in arr.tolist()])
+        if use_numpy and isinstance(points, (list, tuple)) and points:
+            arr = _clean_float_array(points)
+            if arr is not None:
+                return NumpyPointSet(arr)
         tuples = _validate_tuples(points)
         if use_numpy:
             return NumpyPointSet._from_validated_tuples(tuples)
@@ -276,6 +336,35 @@ class PointSet:
     def pairwise_within(
         self, eps: float, metric: "Metric | str" = Metric.L2
     ) -> Iterator[Tuple[int, int]]:  # pragma: no cover - overridden
+        raise NotImplementedError
+
+    def components_within(
+        self, eps: float, metric: "Metric | str" = Metric.L2
+    ) -> List[int]:  # pragma: no cover - overridden
+        """Label every point with its connected component of the eps-graph.
+
+        ``labels[i]`` is the smallest index in point ``i``'s component, so
+        the star edges ``(i, labels[i])`` form a spanning forest of the
+        epsilon-neighbourhood graph: at most ``n - 1`` unions where the pair
+        sweep of :meth:`pairwise_within` feeds one per verified pair.
+
+        The kernel is grid connectivity (Gan & Tao, "DBSCAN Revisited",
+        SIGMOD 2015).  Cells have side eps/sqrt(d) (L2), eps/d (L1) or eps
+        (LINF), so any two points of a cell are within eps in exact
+        arithmetic.  A cell counts as a clique only when the metric measure
+        of its per-axis extent passes the same ``<= eps`` test the predicate
+        applies: rounding is monotone, so that proves every member pair
+        passes; a cell that fails has its own pairs verified.  Cells within
+        reach are joined by their bounding boxes where those decide (box gap
+        beyond eps: no pair; farthest corners within eps: every pair), and
+        otherwise by a *witness pair*: any one pair within eps, searched in
+        vectorised chunks of at most :data:`_WITNESS_PAIRS` pairs and only
+        while the two sides are not yet connected.  Past
+        :data:`_COMPONENTS_GRID_MAX_DIMS` dimensions, for coordinates too
+        large for exact cell indices, and always on the pure-Python backend,
+        the labels come from :meth:`pairwise_within`.  Either way they equal
+        the components of the scalar predicate's eps-graph bit for bit.
+        """
         raise NotImplementedError
 
     def cross_within(
@@ -407,6 +496,13 @@ class PythonPointSet(PointSet):
                     for j in other:
                         if predicate.similar(pi, pts[j]):
                             yield i, j
+
+    def components_within(
+        self, eps: float, metric: "Metric | str" = Metric.L2
+    ) -> List[int]:
+        # Interpreted, the grid scan does not beat the eps-grid pair sweep;
+        # the labels come from the sweep's edges.
+        return _labels_from_pairs(len(self._points), self.pairwise_within(eps, metric))
 
     def cross_within(
         self,
@@ -560,6 +656,93 @@ class NumpyPointSet(PointSet):
                 if other is not None:
                     yield from self._cell_pairs(members, other, eps, metric, same=False)
 
+    def components_within(
+        self, eps: float, metric: "Metric | str" = Metric.L2
+    ) -> List[int]:
+        eps = self._check_eps(eps)
+        metric = resolve_metric(metric)
+        arr = self._array
+        n, d = arr.shape
+        if n < 2:
+            return list(range(n))
+        side = _cell_side(eps, metric, d)
+        if (
+            d > _COMPONENTS_GRID_MAX_DIMS
+            or float(_np.abs(arr).max()) / side >= _GRID_MAX_CELLS
+        ):
+            return _labels_from_pairs(n, self.pairwise_within(eps, metric))
+        cells = _np.floor(arr / side).astype(_np.int64)
+        # One int64 key per cell: the per-axis ranks of its coordinates among
+        # the occupied ones, in mixed radix.
+        axes = [_np.unique(cells[:, k]) for k in range(d)]
+        if math.prod(len(axis) for axis in axes) >= 2**62:
+            return _labels_from_pairs(n, self.pairwise_within(eps, metric))
+        strides = [1] * d
+        for k in range(d - 2, -1, -1):
+            strides[k] = strides[k + 1] * len(axes[k + 1])
+        keys = _np.searchsorted(axes[0], cells[:, 0]) * strides[0]
+        for k in range(1, d):
+            keys += _np.searchsorted(axes[k], cells[:, k]) * strides[k]
+        ukeys, first, inverse = _np.unique(keys, return_index=True, return_inverse=True)
+        inverse = inverse.ravel()
+        m = ukeys.shape[0]
+        order = _np.argsort(inverse, kind="stable")
+        counts = _np.bincount(inverse, minlength=m)
+        starts = _np.concatenate(([0], _np.cumsum(counts)[:-1]))
+        by_cell = arr[order]
+        lo = _np.minimum.reduceat(by_cell, starts, axis=0)
+        hi = _np.maximum.reduceat(by_cell, starts, axis=0)
+        limit = eps * eps if metric is Metric.L2 else eps
+        a_nodes, b_nodes = _numpy_reach_pairs(cells[first], axes, strides, ukeys, metric)
+        # Box gap beyond eps: no pair can be within eps.
+        gap = _np.maximum(lo[b_nodes] - hi[a_nodes], lo[a_nodes] - hi[b_nodes])
+        _np.maximum(gap, 0.0, out=gap)
+        near = _row_measures(gap, metric) <= limit
+        a_nodes = a_nodes[near]
+        b_nodes = b_nodes[near]
+        # Farthest corners within eps: every pair is within eps.
+        far = _np.maximum(hi[b_nodes] - lo[a_nodes], hi[a_nodes] - lo[b_nodes])
+        every_pair = _row_measures(far, metric) <= limit
+
+        # Nodes 0..m-1 are the cells; a non-clique cell keeps node c for its
+        # first component and appends one node per further component.
+        node_of_point = inverse
+        node_min = order[starts].tolist()
+        non_clique = _np.nonzero(_row_measures(hi - lo, metric) > limit)[0].tolist()
+        if non_clique:
+            node_of_point = inverse.copy()
+            cell_nodes: Dict[int, List[int]] = {}
+            for c in non_clique:
+                members = order[starts[c] : starts[c] + counts[c]]
+                parts = _split_members(
+                    members.tolist(), _verified_pairs(arr, members, eps, metric)
+                )
+                cell_nodes[c] = [c] + list(
+                    range(len(node_min), len(node_min) + len(parts) - 1)
+                )
+                node_min.extend(part[0] for part in parts[1:])
+                for node, part in zip(cell_nodes[c], parts):
+                    node_of_point[part] = node
+            # Lay the members out node by node, and expand the cell pairs
+            # touching a split cell into node pairs.
+            order = _np.argsort(node_of_point, kind="stable")
+            counts = _np.bincount(node_of_point)
+            starts = _np.concatenate(([0], _np.cumsum(counts)[:-1]))
+            a_nodes, b_nodes, every_pair = _expand_node_pairs(
+                a_nodes, b_nodes, every_pair, cell_nodes
+            )
+
+        forest = _MinForest(node_min)
+        union = forest.union
+        for a, b in zip(a_nodes[every_pair].tolist(), b_nodes[every_pair].tolist()):
+            union(a, b)
+        unsure = ~every_pair
+        _join_by_witness(
+            forest, arr, a_nodes[unsure], b_nodes[unsure], order, starts, counts,
+            eps, metric,
+        )
+        return _np.asarray(forest.labels())[node_of_point].tolist()
+
     def cross_within(
         self,
         other: "PointSet | Sequence[Sequence[float]]",
@@ -678,3 +861,266 @@ def _half_space_offsets(d: int) -> List[Tuple[int, ...]]:
 
     recurse(())
     return out
+
+
+# ---------------------------------------------------------------------------
+# components_within helpers
+# ---------------------------------------------------------------------------
+
+
+def _cell_side(eps: float, metric: Metric, d: int) -> float:
+    """Grid side at which every pair inside a cell is within eps (exactly)."""
+    if metric is Metric.L2:
+        return eps / math.sqrt(d)
+    if metric is Metric.L1:
+        return eps / d
+    return eps
+
+
+@functools.lru_cache(maxsize=None)
+def _reach_offsets(d: int, metric: Metric) -> Tuple[Tuple[int, ...], ...]:
+    """Lexicographically positive offsets of the cells a neighbour can be in.
+
+    Two points ``o`` cells apart on an axis are at least ``|o| - 1`` sides
+    apart there, so an offset is within reach when the metric measure of
+    ``max(|o_k| - 1, 0)`` is at most eps in sides: sqrt(d) for L2 (reach
+    ceil(sqrt(d)) per axis), d for L1, 1 for LINF.  Equality is kept, which
+    also covers points exactly eps apart whose quotient ``x / side`` rounded
+    up onto a cell boundary.
+    """
+    reach = 1 + (math.isqrt(d) if metric is Metric.L2 else d if metric is Metric.L1 else 1)
+    out: List[Tuple[int, ...]] = [()]
+    for _ in range(d):
+        out = [prefix + (o,) for prefix in out for o in range(-reach, reach + 1)]
+    kept = []
+    for off in out:
+        if off <= (0,) * d:
+            continue
+        gaps = [max(abs(o) - 1, 0) for o in off]
+        if metric is Metric.L2:
+            ok = sum(g * g for g in gaps) <= d
+        elif metric is Metric.L1:
+            ok = sum(gaps) <= d
+        else:
+            ok = max(gaps) <= 1
+        if ok:
+            kept.append(off)
+    return tuple(kept)
+
+
+def _numpy_reach_pairs(ucells, axes, strides, ukeys, metric: Metric):
+    """Occupied cell pairs ``(a, b)`` one reach offset apart, each once (NumPy)."""
+    d = ucells.shape[1]
+    offsets = _np.asarray(_reach_offsets(d, metric), dtype=_np.int64)
+    m = ucells.shape[0]
+    chunk = max(1, (1 << 18) // offsets.shape[0])
+    a_parts = []
+    b_parts = []
+    for start in range(0, m, chunk):
+        sub = ucells[start : start + chunk]
+        ok = _np.ones((sub.shape[0], offsets.shape[0]), dtype=bool)
+        key = _np.zeros(ok.shape, dtype=_np.int64)
+        for k in range(d):
+            value = sub[:, k, None] + offsets[None, :, k]
+            rank = _np.searchsorted(axes[k], value)
+            _np.minimum(rank, axes[k].shape[0] - 1, out=rank)
+            ok &= axes[k][rank] == value
+            key += rank * strides[k]
+        rows, cols = _np.nonzero(ok)
+        key = key[rows, cols]
+        slot = _np.searchsorted(ukeys, key)
+        _np.minimum(slot, m - 1, out=slot)
+        found = ukeys[slot] == key
+        a_parts.append(rows[found] + start)
+        b_parts.append(slot[found])
+    return _np.concatenate(a_parts), _np.concatenate(b_parts)
+
+
+def _row_measures(vectors: "Any", metric: Metric) -> "Any":
+    """Per-row metric measure of ``(m, d)`` per-axis gaps (NumPy).
+
+    The accumulation order of :func:`repro.core.distance.pairwise_measures`,
+    so the ``<= eps`` decisions compare like ``within_eps``'s.
+    """
+    if metric is Metric.L2:
+        acc = vectors[:, 0] * vectors[:, 0]
+        for k in range(1, vectors.shape[1]):
+            acc += vectors[:, k] * vectors[:, k]
+        return acc
+    acc = vectors[:, 0].copy()
+    for k in range(1, vectors.shape[1]):
+        if metric is Metric.L1:
+            acc += vectors[:, k]
+        else:
+            _np.maximum(acc, vectors[:, k], out=acc)
+    return acc
+
+
+class _MinForest:
+    """Union-Find whose roots are the members with the smallest label.
+
+    ``mins[x]`` is node ``x``'s own label (its smallest point index); a
+    union keeps the root with the smaller one, so every root carries its
+    component's minimum and :meth:`labels` needs no second pass.
+    """
+
+    __slots__ = ("parent", "mins")
+
+    def __init__(self, mins: List[int]) -> None:
+        self.parent = list(range(len(mins)))
+        self.mins = mins
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> None:
+        ra = self.find(a)
+        rb = self.find(b)
+        if ra != rb:
+            if self.mins[ra] < self.mins[rb]:
+                self.parent[rb] = ra
+            else:
+                self.parent[ra] = rb
+
+    def labels(self) -> List[int]:
+        find = self.find
+        mins = self.mins
+        return [mins[find(x)] for x in range(len(mins))]
+
+
+def _labels_from_pairs(n: int, pairs: Iterable[Tuple[int, int]]) -> List[int]:
+    """Component labels (smallest member index) of ``n`` points from edges."""
+    forest = _MinForest(list(range(n)))
+    for i, j in pairs:
+        forest.union(i, j)
+    return forest.labels()
+
+
+def _split_members(
+    members: List[int], pairs: Iterable[Tuple[int, int]]
+) -> List[List[int]]:
+    """Components of one non-clique cell, each ascending, in order of minimum."""
+    position = {index: k for k, index in enumerate(members)}
+    labels = _labels_from_pairs(
+        len(members), ((position[a], position[b]) for a, b in pairs)
+    )
+    parts: Dict[int, List[int]] = {}
+    for k, label in enumerate(labels):
+        parts.setdefault(label, []).append(members[k])
+    return list(parts.values())
+
+
+def _pair_chunks(a_len: int, b_len: int) -> Iterator[Tuple[slice, slice]]:
+    """Row/column slices covering an ``a x b`` block, at most the pair budget each."""
+    cols = min(b_len, _WITNESS_PAIRS)
+    rows = max(1, _WITNESS_PAIRS // cols)
+    for c0 in range(0, b_len, cols):
+        for r0 in range(0, a_len, rows):
+            yield slice(r0, r0 + rows), slice(c0, c0 + cols)
+
+
+def _verified_pairs(arr: "Any", members: "Any", eps: float, metric: Metric):
+    """Every within-eps pair ``(i, j)``, ``i < j``, among one cell's members."""
+    block = arr[members]
+    out: List[Tuple[int, int]] = []
+    n = members.shape[0]
+    for rows, cols in _pair_chunks(n, n):
+        ai, bi = _np.nonzero(within_eps(block[rows], block[cols], metric, eps))
+        ai = ai + rows.start
+        bi = bi + cols.start
+        keep = ai < bi
+        out.extend(zip(members[ai[keep]].tolist(), members[bi[keep]].tolist()))
+    return out
+
+
+def _expand_node_pairs(a_cells, b_cells, every_pair, cell_nodes):
+    """Replace each cell pair touching a split cell by its node pairs."""
+    split = _np.asarray(sorted(cell_nodes), dtype=a_cells.dtype)
+    touched = _np.isin(a_cells, split) | _np.isin(b_cells, split)
+    a_out = a_cells[~touched].tolist()
+    b_out = b_cells[~touched].tolist()
+    sure_out = every_pair[~touched].tolist()
+    for a, b, sure in zip(
+        a_cells[touched].tolist(), b_cells[touched].tolist(), every_pair[touched].tolist()
+    ):
+        for node_a in cell_nodes.get(a, (a,)):
+            for node_b in cell_nodes.get(b, (b,)):
+                a_out.append(node_a)
+                b_out.append(node_b)
+                sure_out.append(sure)
+    return (
+        _np.asarray(a_out, dtype=_np.intp),
+        _np.asarray(b_out, dtype=_np.intp),
+        _np.asarray(sure_out, dtype=bool),
+    )
+
+
+def _join_by_witness(
+    forest: _MinForest, arr, a_nodes, b_nodes, order, starts, counts, eps, metric
+) -> None:
+    """Union the node pairs that hold a witness pair, testing unconnected ones.
+
+    Node ``x``'s members are ``order[starts[x]:starts[x] + counts[x]]``.
+    Pairs are tested in arrival order and skipped once already connected;
+    small ones are batched into one vectorised test of at most
+    :data:`_WITNESS_PAIRS` point pairs, larger ones are tested alone in
+    chunks of that size, stopping at the first witness.
+    """
+    find = forest.find
+    sizes = (counts[a_nodes] * counts[b_nodes]).tolist()
+    batch_a: List[int] = []
+    batch_b: List[int] = []
+    batch_pairs = 0
+    for a, b, size in zip(a_nodes.tolist(), b_nodes.tolist(), sizes):
+        if find(a) == find(b):
+            continue
+        if size > _WITNESS_PAIRS:
+            members_a = order[starts[a] : starts[a] + counts[a]]
+            members_b = order[starts[b] : starts[b] + counts[b]]
+            if _has_witness(arr, members_a, members_b, eps, metric):
+                forest.union(a, b)
+            continue
+        if batch_pairs + size > _WITNESS_PAIRS:
+            _union_witnessed(forest, arr, batch_a, batch_b, order, starts, counts, eps, metric)
+            batch_a, batch_b, batch_pairs = [], [], 0
+        batch_a.append(a)
+        batch_b.append(b)
+        batch_pairs += size
+    if batch_a:
+        _union_witnessed(forest, arr, batch_a, batch_b, order, starts, counts, eps, metric)
+
+
+def _union_witnessed(forest, arr, a_list, b_list, order, starts, counts, eps, metric):
+    """One vectorised witness test over every point pair of a batch of node pairs."""
+    a = _np.asarray(a_list, dtype=_np.intp)
+    b = _np.asarray(b_list, dtype=_np.intp)
+    count_b = counts[b]
+    sizes = counts[a] * count_b
+    pair = _np.repeat(_np.arange(a.shape[0]), sizes)
+    offset = _np.arange(pair.shape[0]) - _np.repeat(_np.cumsum(sizes) - sizes, sizes)
+    width = count_b[pair]
+    i = order[starts[a][pair] + offset // width]
+    j = order[starts[b][pair] + offset % width]
+    hit = _pairs_within(arr, i, j, eps, metric)
+    for k in _np.unique(pair[hit]).tolist():
+        forest.union(a_list[k], b_list[k])
+
+
+def _pairs_within(arr, i, j, eps: float, metric: Metric):
+    """Row-wise ``within_eps``: is ``arr[i[k]]`` within eps of ``arr[j[k]]``?"""
+    measures = _row_measures(_np.abs(arr[i] - arr[j]), metric)
+    return measures <= (eps * eps if metric is Metric.L2 else eps)
+
+
+def _has_witness(arr: "Any", a: "Any", b: "Any", eps: float, metric: Metric) -> bool:
+    """True when some point of ``a`` is within eps of some point of ``b``."""
+    pa = arr[a]
+    pb = arr[b]
+    for rows, cols in _pair_chunks(pa.shape[0], pb.shape[0]):
+        if within_eps(pa[rows], pb[cols], metric, eps).any():
+            return True
+    return False

@@ -15,6 +15,11 @@ Two strategies are provided, matching the paper's evaluation:
 
 For the L2 metric the window query is refined with an exact distance check
 (the ``VerifyPoints`` step of Procedure 8).
+
+Whole batches (:meth:`SGBAnyGrouper.add_batch`) take their batch-internal
+connectivity from :meth:`PointSet.components_within`, a grid-connectivity
+kernel that labels the components without enumerating every pair; the
+grouper then applies one star edge per non-first component member.
 """
 
 from __future__ import annotations
@@ -146,9 +151,11 @@ class SGBAnyGrouper:
         order — the epsilon-neighbourhood graph, and therefore the final
         connected components, are the same — but the work is done in bulk:
         the batch is normalised once into a :class:`PointSet`, batch-internal
-        edges come from :meth:`PointSet.pairwise_within` (an eps-grid sweep),
-        window hits against previously added points are verified in bulk,
-        and the edges are applied with one batched Union-Find merge.  The
+        connectivity comes from :meth:`PointSet.components_within` (grid
+        connectivity; applied as at most n - 1 star edges, one per point to
+        its component's first member), window hits against previously added
+        points are verified in bulk, and the edges are applied with batched
+        Union-Find merges.  The
         point index is not updated eagerly; the unindexed tail is flushed
         (STR bulk-loaded, or incrementally inserted once the index exists)
         on the next probe that needs it.
@@ -186,14 +193,17 @@ class SGBAnyGrouper:
                 for index, neighbours in zip(indices, neighbour_lists)
                 for other in neighbours
             )
-        # Batch-internal epsilon edges: columnar grid sweep by default, or the
-        # caller's spatial index when one was explicitly chosen (ablations).
+        # Batch-internal connectivity: grid-connectivity star edges by
+        # default, or the caller's spatial index when one was explicitly
+        # chosen (ablations measure their access method on real pairs).
         if self._explicit_index and self.strategy is SGBAnyStrategy.INDEX:
             self._uf.union_pairs(self._batch_edges_indexed(tuples, base))
         else:
+            labels = ps.components_within(self.eps, self.predicate.metric)
             self._uf.union_pairs(
-                (base + i, base + j)
-                for i, j in ps.pairwise_within(self.eps, self.predicate.metric)
+                (base + i, base + label)
+                for i, label in enumerate(labels)
+                if label != i
             )
         self._points.extend(tuples)
         self._indices.extend(indices)
@@ -206,7 +216,7 @@ class SGBAnyGrouper:
     ) -> Iterable[Tuple[int, int]]:
         """Batch-internal eps-edges via a bulk-loaded throwaway index.
 
-        Exactly the edge set ``pairwise_within`` yields: the window query is a
+        The eps-graph's edge set: the window query is a
         conservative filter and L2 hits are verified with the exact distance
         (LINF windows are exact already).  Used when the caller explicitly
         selected the access method, so the index-choice ablation exercises

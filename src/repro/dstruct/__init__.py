@@ -1,6 +1,5 @@
-"""Supporting data structures: Union-Find forest and per-group tuple stores."""
+"""Supporting data structures: the Union-Find forest behind SGB-Any."""
 
-from repro.dstruct.tuple_store import TupleStore
 from repro.dstruct.union_find import UnionFind
 
-__all__ = ["UnionFind", "TupleStore"]
+__all__ = ["UnionFind"]

@@ -66,10 +66,10 @@ class Shard:
 class HaloBand:
     """The points flanking one internal cut (eps-cells ``k - 1`` and ``k``).
 
-    Every eps-edge straddling the cut has both endpoints in this band, so
-    running ``pairwise_within`` over the band recovers all cross-shard edges
-    of that boundary (plus some intra-shard duplicates, which the Union-Find
-    merge absorbs for free).
+    Every eps-edge straddling the cut has both endpoints in this band, so a
+    spanning forest of the band's eps-components (``components_within``)
+    connects everything the cross-shard edges of that boundary connect (plus
+    some intra-shard links, which the Union-Find merge absorbs for free).
     """
 
     cut_cell: int

@@ -8,8 +8,9 @@ across calls — the executor services many small batches in a query workload,
 and respawning processes per batch would dominate the runtime.
 
 While the pool works on the shards, the parent process extracts the
-halo-band edges (:meth:`PointSet.pairwise_within` over each band) so the
-boundary stitching overlaps with the shard grouping instead of following it.
+halo-band edges (a spanning forest of each band's eps-components, from
+:meth:`PointSet.components_within`) so the boundary stitching overlaps with
+the shard grouping instead of following it.
 
 When only one worker is available (or the pool cannot be created — e.g. a
 sandbox forbids ``fork``) the same shard/merge pipeline runs serially in
@@ -136,14 +137,20 @@ def _group_shard(points: Any, eps: float, metric_value: str) -> Dict[int, int]:
 def _band_edges(
     partition: GridPartition, eps: float, metric: Metric
 ) -> Iterator[Tuple[int, int]]:
-    """Global-index eps-edges inside every halo band (computed in-process)."""
+    """Global-index star edges spanning every halo band's components.
+
+    A band's eps-components are subsets of the global ones, so joining each
+    band point to its component's first member merges the shards exactly as
+    the band's full pair edges would (computed in-process).
+    """
     for band in partition.bands:
         if len(band.indices) < 2:
             continue
         band_ps = PointSet.from_any(band.points)
         indices = band.indices
-        for i, j in band_ps.pairwise_within(eps, metric):
-            yield indices[i], indices[j]
+        for i, label in enumerate(band_ps.components_within(eps, metric)):
+            if label != i:
+                yield indices[i], indices[label]
 
 
 def _serial_grouping(ps: PointSet, eps: float, metric: Metric) -> GroupingResult:

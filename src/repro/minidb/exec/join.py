@@ -95,7 +95,7 @@ class SimilarityJoin(PhysicalOperator):
         right_columns = [
             [self._coordinate(fn, row) for row in right_rows] for fn in self._right_fns
         ]
-        cache, cache_key = self._cache_lookup(left_columns, right_columns)
+        cache, cache_key, slot = self._cache_lookup(left_columns, right_columns)
         if cache is not None:
             hit = cache.get_pairs(cache_key)
             if hit is not None:
@@ -116,37 +116,52 @@ class SimilarityJoin(PhysicalOperator):
             raise ExecutionError(f"invalid similarity join attributes: {exc}") from exc
         self.last_plan = getattr(pairs, "plan", None)
         if cache is not None:
+            cache.supersede(slot, cache_key)
             cache.put_pairs(cache_key, pairs)
         return pairs, left_rows, right_rows
 
     def _cache_lookup(self, left_columns, right_columns):
-        """Resolve the result cache and this join's pair-list key.
+        """Resolve the result cache, this join's pair-list key, and its slot.
 
         Each side's fingerprint prefers its base table's version-memoised
         digest (strict Rename-only trace) and otherwise hashes the buffered
         coordinate columns; either way the digest is content-addressed, so
         SQL joins and direct :func:`repro.join.sim_join` calls over the same
-        relations share entries.
+        relations share entries.  The slot (see :meth:`ResultCache.supersede`)
+        names each traced side by its base table's identity and columns and
+        each hashed side by its digest, plus the key's other fields; it is
+        ``None`` when neither side traces to a base table.
         """
         from repro.storage.cache import join_key, resolve_cache
 
         cache = resolve_cache(self.cache)
         if cache is None:
-            return None, None
+            return None, None, None
         from repro.core.fingerprint import fingerprint_columns
         from repro.core.pointset import HAVE_NUMPY
-        from repro.minidb.exec.statics import trace_base_fingerprint
+        from repro.minidb.exec.statics import trace_base_columns, trace_base_fingerprint
 
-        left_fp = trace_base_fingerprint(self.left, self.left_exprs)
-        if left_fp is None:
-            left_fp = fingerprint_columns(left_columns)
-        right_fp = trace_base_fingerprint(self.right, self.right_exprs)
-        if right_fp is None:
-            right_fp = fingerprint_columns(right_columns)
+        fingerprints = []
+        sides = []
+        traced_any = False
+        for node, exprs, columns in (
+            (self.left, self.left_exprs, left_columns),
+            (self.right, self.right_exprs, right_columns),
+        ):
+            fingerprint = trace_base_fingerprint(node, exprs)
+            if fingerprint is None:
+                fingerprint = fingerprint_columns(columns)
+            fingerprints.append(fingerprint)
+            traced = trace_base_columns(node, exprs)
+            if traced is None:
+                sides.append(fingerprint)
+            else:
+                sides.append((id(traced[0]), tuple(traced[1])))
+                traced_any = True
         backend = "numpy" if HAVE_NUMPY else "python"
-        return cache, join_key(
-            left_fp, right_fp, self.eps, self.k, self.metric, backend
-        )
+        params = (self.eps, self.k, self.metric, backend)
+        slot = ("sim-join", *sides, *params) if traced_any else None
+        return cache, join_key(*fingerprints, *params), slot
 
     @staticmethod
     def _coordinate(fn, row: Row) -> float:

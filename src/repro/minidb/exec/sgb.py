@@ -15,7 +15,7 @@ a single one.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.overlap import OverlapAction
 from repro.core.pointset import PointSet
@@ -136,11 +136,10 @@ class SGBAggregate(PhysicalOperator):
             yield from self._windowed_rows(buffered, columns)
             return
         dims = len(self.key_exprs)
-        pushed = self._try_pushdown(buffered, columns)
-        if pushed is not None:
-            # The workers already accumulated the aggregates; only the key
-            # centroids (order-sensitive float sums) are computed here.
-            result, group_accumulators = pushed
+        result, group_accumulators = self._group(columns, buffered)
+        if group_accumulators is not None:
+            # Push-down: the workers already accumulated the aggregates; only
+            # the key centroids (order-sensitive float sums) are computed here.
             for members, accumulators in zip(result.groups, group_accumulators):
                 centroid = [
                     sum(columns[d][idx] for idx in members) / len(members)
@@ -148,7 +147,6 @@ class SGBAggregate(PhysicalOperator):
                 ]
                 yield tuple(centroid) + tuple(self._evaluator.finalize(accumulators))
             return
-        result = self._group(buffered, columns)
         # The aggregate replay runs over column slices: every aggregate
         # argument is evaluated once per buffered row into a column vector,
         # and each group feeds its members' slice to the accumulators in one
@@ -222,49 +220,57 @@ class SGBAggregate(PhysicalOperator):
                     + tuple(self._evaluator.finalize(accumulators))
                 )
 
-    def _group(self, buffered: List[Row], columns: List[List[float]]) -> GroupingResult:
-        """Group the buffered batch, in parallel shards when workers allow.
+    def _group(
+        self, columns: List[List[float]], rows: Optional[List[Row]] = None
+    ) -> "Tuple[GroupingResult, Optional[List[list]]]":
+        """Group the buffered batch through the result cache.
 
-        Without an explicit worker count (no WORKERS clause and ``SGB_WORKERS``
-        unset or ``auto``) SGB-Any delegates the mode choice to the cost
-        planner, which scores serial vs sharded execution from the batch's
-        statistics.  SGB-Any with a numeric ``WORKERS > 1`` (clause option,
-        session default, or the environment variable) is forced through the
-        sharded engine; SGB-All's arbitration is order-dependent, so it
-        always runs serially regardless.
+        The cache is consulted before any execution mode runs.  On a miss,
+        ``rows`` (the buffered input rows) makes the batch a candidate for
+        shard-level aggregate push-down (:meth:`_try_pushdown`), which also
+        returns one accumulator list per group; otherwise the grouping comes
+        from :meth:`_group_uncached` and the accumulators are ``None``.
         """
-        if not buffered:
-            return GroupingResult.empty()
-        cache, cache_key = self._cache_lookup(columns)
+        if not columns[0]:
+            return GroupingResult.empty(), None
+        cache, cache_key, slot = self._cache_lookup(columns)
         if cache is not None:
             hit = cache.get_grouping(cache_key)
             if hit is not None:
-                return hit
-        result = self._group_uncached(columns)
+                return hit, None
+        pushed = self._try_pushdown(rows, columns) if rows is not None else None
+        if pushed is not None:
+            result, accumulators = pushed
+        else:
+            result, accumulators = self._group_uncached(columns), None
         if cache is not None:
+            cache.supersede(slot, cache_key)
             cache.put_grouping(cache_key, result)
-        return result
+        return result, accumulators
 
     def _cache_lookup(self, columns: List[List[float]]):
-        """Resolve the result cache and this batch's grouping key.
+        """Resolve the result cache, this batch's grouping key, and its slot.
 
         The fingerprint prefers the base table's version-memoised digest
         (:func:`trace_base_fingerprint`; exact only through Rename wrappers)
         and otherwise hashes the buffered column vectors — both produce the
         same content digest for the same data, so SQL queries and direct
-        core-API calls over identical batches share cache entries.
+        core-API calls over identical batches share cache entries.  The slot
+        (see :meth:`ResultCache.supersede`) is the base table's identity, the
+        key columns and the key's other fields; ``None`` without a base table.
         """
         from repro.storage.cache import resolve_cache, sgb_all_key, sgb_any_key
 
         cache = resolve_cache(self.cache)
         if cache is None:
-            return None, None
+            return None, None, None
         from repro.core.fingerprint import fingerprint_columns
-        from repro.minidb.exec.statics import trace_base_fingerprint
+        from repro.minidb.exec.statics import trace_base_columns, trace_base_fingerprint
 
         from repro.core.pointset import HAVE_NUMPY
 
         fingerprint = trace_base_fingerprint(self.child, self.key_exprs)
+        traced = trace_base_columns(self.child, self.key_exprs)
         if fingerprint is None:
             fingerprint = fingerprint_columns(columns)
         backend = "numpy" if HAVE_NUMPY else "python"
@@ -274,10 +280,10 @@ class SGBAggregate(PhysicalOperator):
                 if SGBAllStrategy.parse(self.strategy) is SGBAllStrategy.ALL_PAIRS
                 else SGBAnyStrategy.INDEX
             ).value
-            key = sgb_any_key(fingerprint, self.eps, self.metric, strategy, backend)
+            params: tuple = (self.eps, self.metric, strategy, backend)
+            key = sgb_any_key(fingerprint, *params)
         else:
-            key = sgb_all_key(
-                fingerprint,
+            params = (
                 self.eps,
                 self.metric,
                 SGBAllStrategy.parse(self.strategy).value,
@@ -285,9 +291,24 @@ class SGBAggregate(PhysicalOperator):
                 self.seed,
                 backend,
             )
-        return cache, key
+            key = sgb_all_key(fingerprint, *params)
+        slot = None
+        if traced is not None:
+            table, positions = traced
+            slot = ("sgb", self.kind, id(table), tuple(positions), *params)
+        return cache, key, slot
 
     def _group_uncached(self, columns: List[List[float]]) -> GroupingResult:
+        """Group the batch, in parallel shards when workers allow.
+
+        Without an explicit worker count (no WORKERS clause and
+        ``SGB_WORKERS`` unset or ``auto``) SGB-Any delegates the mode choice
+        to the cost planner, which scores serial vs sharded execution from
+        the batch's statistics.  SGB-Any with a numeric ``WORKERS > 1``
+        (clause option, session default, or the environment variable) is
+        forced through the sharded engine; SGB-All's arbitration is
+        order-dependent, so it always runs serially regardless.
+        """
         # Resolve outside the try below: a bad SGB_WORKERS value is a
         # configuration error and must not be re-labelled as a data error.
         # The strategy gate mirrors _make_grouper: everything except
@@ -531,7 +552,7 @@ class SGBAggregate(PhysicalOperator):
                 column.append(
                     self._key_value(lambda r, p=key_position: r[p], row)
                 )
-        compact = self._group(distinct, key_columns)
+        compact, _ = self._group(key_columns)
         groups = canonicalize_groups(
             sorted(
                 position

@@ -38,6 +38,7 @@ from repro.minidb.expressions import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.stats import PointStats
     from repro.minidb.exec.operators import PhysicalOperator
+    from repro.minidb.table import Table
 
 __all__ = [
     "estimated_subtree_rows",
@@ -45,6 +46,7 @@ __all__ = [
     "estimate_join_rows",
     "equi_join_selectivity",
     "predicate_selectivity",
+    "trace_base_columns",
     "trace_base_fingerprint",
     "trace_point_stats",
     "trace_relation_stats",
@@ -76,13 +78,31 @@ def trace_base_fingerprint(
 ) -> Optional[str]:
     """Base-table content fingerprint for ``exprs`` over ``node``, if exact.
 
+    The table and columns come from :func:`trace_base_columns`; ``None``
+    whenever the subtree is not provably identical to scanning base-table
+    columns (callers then hash the column vectors they actually buffered).
+    """
+    traced = trace_base_columns(node, exprs)
+    if traced is None:
+        return None
+    table, positions = traced
+    try:
+        return table.point_fingerprint(positions)
+    except Exception:  # noqa: BLE001 - non-numeric column: hash the buffer
+        return None
+
+
+def trace_base_columns(
+    node: "PhysicalOperator", exprs: Sequence[Expression]
+) -> "Optional[Tuple[Table, List[int]]]":
+    """The base table and column positions ``exprs`` read over ``node``.
+
     Unlike :func:`trace_point_stats` this trace is *strict*: it walks through
     ``Rename`` only (a positional re-qualification never changes the rows)
     and refuses ``Filter`` — a filtered scan produces a different point batch
     than the base table, so reusing the table's memoised digest there would
     poison the result cache.  Returns ``None`` whenever the subtree is not
-    provably identical to scanning base-table columns; callers then hash the
-    column vectors they actually buffered.
+    provably identical to scanning base-table columns.
     """
     from repro.minidb.exec.operators import Rename, SeqScan
 
@@ -91,35 +111,23 @@ def trace_base_fingerprint(
     while True:
         if not all(isinstance(e, ColumnRef) for e in refs):
             return None
+        try:
+            positions = [current.schema.index_of(e.name, e.qualifier) for e in refs]
+        except CatalogError:
+            return None
         if isinstance(current, SeqScan):
-            try:
-                positions = [
-                    current.schema.index_of(e.name, e.qualifier) for e in refs
-                ]
-            except CatalogError:
-                return None
-            try:
-                return current.table.point_fingerprint(positions)
-            except Exception:  # noqa: BLE001 - non-numeric column: hash the buffer
-                return None
-        if isinstance(current, Rename):
-            try:
-                positions = [
-                    current.schema.index_of(e.name, e.qualifier) for e in refs
-                ]
-            except CatalogError:
-                return None
-            child_schema = current.child.schema
-            refs = [
-                ColumnRef(
-                    child_schema.columns[p].name,
-                    child_schema.columns[p].qualifier,
-                )
-                for p in positions
-            ]
-            current = current.child
-            continue
-        return None
+            return current.table, positions
+        if not isinstance(current, Rename):
+            return None
+        child_schema = current.child.schema
+        refs = [
+            ColumnRef(
+                child_schema.columns[p].name,
+                child_schema.columns[p].qualifier,
+            )
+            for p in positions
+        ]
+        current = current.child
 
 
 # ---------------------------------------------------------------------------

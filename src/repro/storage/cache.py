@@ -34,7 +34,7 @@ import os
 import pickle
 import struct
 import threading
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.fingerprint import fingerprint_bytes
 from repro.storage.store import AbstractStore, LocalFileStore, MemStore, TieredStore
@@ -77,6 +77,8 @@ class ResultCache:
         self.misses = 0
         self.puts = 0
         self._lock = threading.Lock()
+        #: slot -> the key last stored for it (see :meth:`supersede`).
+        self._latest: Dict[Hashable, str] = {}
 
     def _count(self, field: str, delta: int = 1) -> None:
         with self._lock:
@@ -134,11 +136,32 @@ class ResultCache:
         self.store.put(key, blob)
         self._count("puts")
 
+    def supersede(self, slot: Optional[Hashable], key: str) -> None:
+        """Make ``key`` the latest entry of ``slot``, deleting the one before.
+
+        A slot is everything a cached result depends on *besides* the
+        content fingerprint in its key: a base table's identity, the key
+        columns, and the operator parameters.  Each write to the table
+        changes the fingerprint, so the entry last stored for the slot can
+        never hit through it again; keeping it would grow the cache with
+        write throughput until the LRU cap.  Deleting is always safe: a
+        query that still wanted the entry just misses.  ``slot=None`` (a
+        key built from buffered columns, not a base table) is a no-op.
+        """
+        if slot is None:
+            return
+        with self._lock:
+            previous = self._latest.get(slot)
+            self._latest[slot] = key
+        if previous is not None and previous != key:
+            self.store.delete(previous)
+
     def clear(self) -> None:
         """Drop every entry and reset the counters."""
         self.store.clear()
         with self._lock:
             self.hits = self.misses = self.puts = 0
+            self._latest.clear()
 
     def _demote(self, key: str) -> None:
         """Reclassify a decodable-but-malformed payload as the miss it is."""
@@ -297,10 +320,14 @@ def grouping_from_payload(payload):
     from repro.core.result import GroupingResult
 
     groups, eliminated, points = payload
+    # An unpickled payload is already private to this call; rebuild only
+    # containers that do not have the written types (a foreign payload).
+    if not all(type(members) is list for members in groups):
+        groups = [list(members) for members in groups]
+    if not all(type(pt) is tuple for pt in points):
+        points = [tuple(pt) for pt in points]
     return GroupingResult(
-        groups=[list(members) for members in groups],
-        eliminated=list(eliminated),
-        points=[tuple(pt) for pt in points],
+        groups=groups, eliminated=list(eliminated), points=points
     )
 
 
